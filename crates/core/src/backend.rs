@@ -116,6 +116,12 @@ impl InferenceRequest {
 /// All methods take `&self`; implementations are expected to be cheap,
 /// deterministic, and side-effect free so backends can be shared across the
 /// runtime's worker threads (hence the `Send + Sync` supertraits).
+///
+/// The serving engines in `hyflex-runtime` rely on this: they memoize
+/// [`Backend::evaluate_batched`] and [`Backend::evaluate_decode_step`] by
+/// argument list for the length of a run, so each distinct shape is priced
+/// once. An implementation must stay pure — a result that depended on
+/// call order, call count, or hidden state would be silently reused.
 pub trait Backend: Send + Sync + std::fmt::Debug {
     /// Human-readable name used in printed tables and registry lookups.
     fn name(&self) -> &str;

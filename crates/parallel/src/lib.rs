@@ -63,9 +63,8 @@
 //! per-layer-name SVD seeds do), never from a shared stream.
 //!
 //! `hyflex-runtime` re-exports [`JobPool`] and [`PoolScope`] (they lived
-//! there before the kernel layer needed them), so existing
-//! `hyflex_runtime::JobPool` / `hyflex_runtime::pool::JobPool` imports keep
-//! working.
+//! there before the kernel layer needed them), so `hyflex_runtime::JobPool`
+//! imports keep working.
 //!
 //! [`GradientRedistribution::apply`]: https://docs.rs/hyflex-pim
 

@@ -30,14 +30,12 @@
 //! a seed.
 
 use crate::batch::{Batch, BatchScheduler, InferenceRequest, SchedulerConfig};
+use crate::cost::CostMemo;
 use crate::error::RuntimeError;
 use crate::serving::{latency_summary, ServingConfig, ServingSim};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_pim::perf::BatchPerfSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the cluster routes an arriving request to a chip.
@@ -160,14 +158,6 @@ pub struct ClusterReport {
     pub mean_chip_utilization: f64,
 }
 
-/// Memoized batch evaluations, shared across a run's chips (replicas are
-/// identical, so a (shape, size) pair evaluates once). A `BTreeMap` rather
-/// than a hash map: lookups here are key-exact so iteration order never
-/// matters today, but the determinism policy (lint rule D1) bans
-/// hash-ordered containers in runtime code outright so a future iteration
-/// can never silently order-depend.
-type ShapeCache = BTreeMap<(usize, usize), BatchPerfSummary>;
-
 /// Per-chip accounting the engine reports back.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChipStats {
@@ -204,7 +194,6 @@ impl EngineOutcome {
 struct ChipState {
     index: usize,
     scheduler: BatchScheduler,
-    backend: Arc<dyn Backend>,
     device_free: f64,
     busy_ns: f64,
     batches: usize,
@@ -218,8 +207,7 @@ impl ChipState {
     fn new(index: usize, backend: Arc<dyn Backend>, config: SchedulerConfig) -> Result<Self> {
         Ok(ChipState {
             index,
-            scheduler: BatchScheduler::for_backend(Arc::clone(&backend), config)?,
-            backend,
+            scheduler: BatchScheduler::for_backend(backend, config)?,
             device_free: 0.0,
             busy_ns: 0.0,
             batches: 0,
@@ -240,7 +228,7 @@ impl ChipState {
     /// arrived in the past), so a launch at `t <= now` can never be changed
     /// by an arrival after `now` — this is what makes the lazy event loop
     /// exact. The window semantics live here; see the module docs.
-    fn advance(&mut self, now: f64, cache: &mut ShapeCache, out: &mut EngineOutcome) -> Result<()> {
+    fn advance(&mut self, now: f64, cost: &mut CostMemo, out: &mut EngineOutcome) -> Result<()> {
         while self.scheduler.queue_len() > 0 {
             let Some(oldest) = self.scheduler.oldest_arrival_ns() else {
                 break;
@@ -266,14 +254,7 @@ impl ChipState {
             let Some(batch) = self.scheduler.next_batch() else {
                 break;
             };
-            let key = (batch.max_seq_len, batch.len());
-            let summary = match cache.entry(key) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(
-                    self.backend
-                        .evaluate_batched(batch.max_seq_len, batch.len())?,
-                ),
-            };
+            let summary = cost.batched(batch.max_seq_len, batch.len())?;
             for (k, request) in batch.requests.iter().enumerate() {
                 let completion = launch + summary.completion_ns(k);
                 out.latencies_ns.push(completion - request.arrival_ns);
@@ -347,7 +328,8 @@ pub(crate) fn run_engine(
     let mut states = (0..chips)
         .map(|index| ChipState::new(index, Arc::clone(&backend), scheduler))
         .collect::<Result<Vec<_>>>()?;
-    let mut cache = ShapeCache::new();
+    // Replicas are identical, so one memo serves every chip.
+    let mut cost = CostMemo::new(backend);
     let mut out = EngineOutcome {
         latencies_ns: Vec::with_capacity(arrivals.len()),
         ..EngineOutcome::default()
@@ -356,7 +338,7 @@ pub(crate) fn run_engine(
     for request in arrivals {
         let now = request.arrival_ns;
         for chip in &mut states {
-            chip.advance(now, &mut cache, &mut out)?;
+            chip.advance(now, &mut cost, &mut out)?;
         }
         let target = match dispatch {
             DispatchPolicy::RoundRobin => {
@@ -380,7 +362,7 @@ pub(crate) fn run_engine(
         states[target].scheduler.submit(*request)?;
     }
     for chip in &mut states {
-        chip.advance(f64::INFINITY, &mut cache, &mut out)?;
+        chip.advance(f64::INFINITY, &mut cost, &mut out)?;
     }
     out.chips = states.iter().map(ChipState::stats).collect();
     Ok(out)

@@ -16,13 +16,10 @@
 //! Where `hyflex-pim` models one inference at a time, this crate models and
 //! drives **production-shaped** execution:
 //!
-//! * [`pool`] — [`JobPool`]: a scoped `std::thread` worker
-//!   pool with a shared job queue and an order-preserving `par_map`, used by
-//!   the noise-accuracy sweeps and the figure binaries to parallelize
-//!   seed × SLC-rate × evaluation-point grids without changing results. The
-//!   implementation lives in the foundation crate `hyflex-parallel` (so the
-//!   kernel layers in `hyflex-tensor`/`hyflex-rram` can use it too); this
-//!   crate re-exports it for back-compat.
+//! * [`JobPool`] — the worker pool of the foundation crate
+//!   `hyflex-parallel`, re-exported here: it drives the noise-accuracy
+//!   sweeps and the figure binaries' seed × SLC-rate × evaluation-point
+//!   grids without changing results.
 //! * [`sweep`] — parallel drivers for `NoiseSimulator` and
 //!   `PerformanceModel` sweeps, bit-identical to the serial entry points in
 //!   `hyflex-pim`.
@@ -48,6 +45,12 @@
 //!   reactive autoscaler — reporting p99.9 tails, goodput under SLO, and
 //!   per-phase (burst vs. trough) breakdowns (`fig21_overload_survival`,
 //!   `examples/open_loop_traffic.rs`).
+//! * [`decode`] — [`DecodeSim`]: autoregressive decode serving with the KV
+//!   cache placed on the SLC/MLC fabric (`fig22_decode_serving`).
+//!
+//! Every engine prices batches and decode iterations through one per-run
+//! memo (`cost::CostMemo`), so each distinct shape reaches the backend once
+//! per run.
 //!
 //! The whole execution layer is **backend-generic**: the scheduler, the
 //! serving simulators, and [`par_backend_eval`]
@@ -58,11 +61,11 @@
 
 pub mod batch;
 pub mod cluster;
+mod cost;
 pub mod decode;
 pub mod error;
 pub mod overload;
 pub mod policy;
-pub mod pool;
 pub mod serving;
 pub mod sweep;
 pub mod traffic;
@@ -71,13 +74,13 @@ pub use batch::{Batch, BatchScheduler, InferenceRequest, SchedulerConfig};
 pub use cluster::{BatchTrace, ClusterConfig, ClusterReport, ClusterSim, DispatchPolicy};
 pub use decode::{DecodeConfig, DecodeReport, DecodeSim, KvPlacementPolicy};
 pub use error::RuntimeError;
+pub use hyflex_parallel::{JobPool, PoolScope};
 pub use hyflex_pim::backend::{Backend, HyFlexPim};
 pub use overload::{
     AdmissionPolicy, AutoscaleEvent, AutoscalerConfig, OverloadConfig, OverloadReport, OverloadSim,
     PhaseReport,
 };
 pub use policy::SchedulingPolicy;
-pub use pool::{JobPool, PoolScope};
 pub use serving::{LatencySummary, RequestClass, ServingConfig, ServingReport, ServingSim};
 pub use sweep::{par_backend_eval, par_noise_sweep, par_perf_eval};
 pub use traffic::{

@@ -45,14 +45,13 @@
 
 use crate::batch::{BatchScheduler, SchedulerConfig};
 use crate::cluster::DispatchPolicy;
+use crate::cost::CostMemo;
 use crate::error::RuntimeError;
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
 use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
-use hyflex_pim::perf::BatchPerfSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -476,11 +475,11 @@ impl Acc {
 }
 
 /// One replica of the fleet: a scheduler queue plus device timing, its own
-/// batch-evaluation memo (replicas may be heterogeneous), and the
-/// precomputed single-request makespans shedding judges against.
+/// cost memo (replicas may be heterogeneous), and the precomputed
+/// single-request makespans shedding judges against.
 struct FleetChip {
     scheduler: BatchScheduler,
-    backend: Arc<dyn Backend>,
+    cost: CostMemo,
     device_free: f64,
     busy_ns: f64,
     batches: usize,
@@ -488,9 +487,6 @@ struct FleetChip {
     inflight: Vec<f64>,
     active: bool,
     shed_enabled: bool,
-    // BTreeMap, not a hash map: the determinism policy (lint rule D1) bans
-    // hash-ordered containers in runtime code (see cluster::ShapeCache).
-    batch_cache: BTreeMap<(usize, usize), BatchPerfSummary>,
     /// seq_len → single-request makespan, ns (the optimistic service
     /// estimate for shedding). Precomputed for every shape in the mix; an
     /// unknown shape estimates 0 (never shed early — conservative).
@@ -550,14 +546,7 @@ impl FleetChip {
             let Some(batch) = self.scheduler.next_batch() else {
                 break;
             };
-            let key = (batch.max_seq_len, batch.len());
-            let summary = match self.batch_cache.entry(key) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(
-                    self.backend
-                        .evaluate_batched(batch.max_seq_len, batch.len())?,
-                ),
-            };
+            let summary = self.cost.batched(batch.max_seq_len, batch.len())?;
             for (k, request) in batch.requests.iter().enumerate() {
                 let completion = launch + summary.completion_ns(k);
                 acc.on_completed(request, launch, completion);
@@ -714,13 +703,14 @@ impl OverloadSim {
         let initially_active = scaler.map_or(self.replicas.len(), |s| s.min_replicas);
         let mut chips: Vec<FleetChip> = Vec::with_capacity(self.replicas.len());
         for (index, backend) in self.replicas.iter().enumerate() {
+            let mut cost = CostMemo::new(Arc::clone(backend));
             let mut single_ns = BTreeMap::new();
             for &seq_len in &shapes {
-                single_ns.insert(seq_len, backend.evaluate_batched(seq_len, 1)?.makespan_ns);
+                single_ns.insert(seq_len, cost.batched(seq_len, 1)?.makespan_ns);
             }
             chips.push(FleetChip {
                 scheduler: BatchScheduler::for_backend(Arc::clone(backend), self.config.scheduler)?,
-                backend: Arc::clone(backend),
+                cost,
                 device_free: 0.0,
                 busy_ns: 0.0,
                 batches: 0,
@@ -728,7 +718,6 @@ impl OverloadSim {
                 inflight: Vec::new(),
                 active: index < initially_active,
                 shed_enabled: self.config.shed,
-                batch_cache: BTreeMap::new(),
                 single_ns,
             });
         }

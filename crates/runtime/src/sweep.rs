@@ -9,7 +9,7 @@
 //! `PerformanceModel::evaluate_many`) — a property the determinism tests in
 //! this crate and CI (with `RUST_TEST_THREADS` 1 and default) enforce.
 
-use crate::pool::JobPool;
+use hyflex_parallel::JobPool;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::gradient_redistribution::LayerGradientProfile;
 use hyflex_pim::noise_sim::{HybridMappingSpec, SweepOutcome, SweepPoint};

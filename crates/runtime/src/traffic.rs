@@ -363,8 +363,10 @@ impl RequestTrace {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] naming the offending line
-    /// for unknown keys, malformed numbers, `state` lines outside an MMPP
-    /// process, or a configuration [`RequestTrace::new`] rejects.
+    /// for unknown keys, malformed numbers, a class `seq_len` (at least 1)
+    /// or `priority` (0–255) that is not a whole number in range, `state`
+    /// lines outside an MMPP process, or a configuration
+    /// [`RequestTrace::new`] rejects.
     pub fn parse(text: &str) -> Result<Self> {
         let mut config = TrafficConfig::default();
         let mut states: Vec<MmppState> = Vec::new();
@@ -436,12 +438,15 @@ impl RequestTrace {
                 "class" => {
                     let fields = parse_fields(value.split_whitespace(), index + 1)?;
                     let seq_len = take_field(&fields, "seq_len", index + 1)?;
+                    let seq_len = whole_number("seq_len", seq_len, 1.0, MAX_EXACT, index + 1)?;
                     let weight = take_field(&fields, "weight", index + 1)?;
                     let mut class = RequestClass::new(seq_len as usize, weight);
                     if let Some(slo) = find_field(&fields, "slo_ns") {
                         class = class.with_slo_ns(slo);
                     }
                     if let Some(priority) = find_field(&fields, "priority") {
+                        let priority =
+                            whole_number("priority", priority, 0.0, u8::MAX.into(), index + 1)?;
                         class = class.with_priority(priority as u8);
                     }
                     config.classes.push(class);
@@ -726,6 +731,23 @@ fn take_field(fields: &[(&str, f64)], key: &str, line: usize) -> Result<f64> {
         .ok_or_else(|| RuntimeError::InvalidConfig(format!("line {line}: missing `{key}=`")))
 }
 
+/// 2⁵³: past it, an `f64` no longer holds every whole number, so a larger
+/// field value may not be the one the file wrote.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// Checks that a parsed field is a whole number in `min..=max`, so the
+/// caller's integer cast is exact. Fractional, non-finite and out-of-range
+/// values are errors — never truncated or saturated.
+fn whole_number(key: &str, value: f64, min: f64, max: f64, line: usize) -> Result<f64> {
+    if value.fract() == 0.0 && (min..=max).contains(&value) {
+        Ok(value)
+    } else {
+        Err(RuntimeError::InvalidConfig(format!(
+            "line {line}: `{key}` must be a whole number in {min}..={max}, got {value}"
+        )))
+    }
+}
+
 /// Parses a number, accepting `inf` for unbounded SLOs.
 fn parse_number(value: &str) -> Option<f64> {
     if value == "inf" {
@@ -832,6 +854,61 @@ seed = 42
             .unwrap_err()
             .to_string();
         assert!(gone.contains("/nonexistent/x.trace"), "{gone}");
+    }
+
+    fn class_line_error(fields: &str) -> String {
+        RequestTrace::parse(&format!("seed = 1\nclass = {fields}\n"))
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn class_lines_reject_a_fractional_seq_len() {
+        let err = class_line_error("seq_len=64.7 weight=1");
+        assert!(err.contains("line 2") && err.contains("64.7"), "{err}");
+    }
+
+    #[test]
+    fn class_lines_reject_a_negative_seq_len() {
+        let err = class_line_error("seq_len=-5 weight=1");
+        assert!(err.contains("line 2") && err.contains("seq_len"), "{err}");
+    }
+
+    #[test]
+    fn class_lines_reject_a_nan_seq_len() {
+        let err = class_line_error("seq_len=nan weight=1");
+        assert!(err.contains("line 2") && err.contains("NaN"), "{err}");
+    }
+
+    #[test]
+    fn class_lines_reject_an_out_of_range_seq_len() {
+        let err = class_line_error("seq_len=1e30 weight=1");
+        assert!(err.contains("line 2") && err.contains("seq_len"), "{err}");
+        let zero = class_line_error("seq_len=0 weight=1");
+        assert!(zero.contains("seq_len"), "{zero}");
+    }
+
+    #[test]
+    fn class_lines_reject_a_priority_above_255() {
+        let err = class_line_error("seq_len=64 weight=1 priority=300");
+        assert!(err.contains("line 2") && err.contains("priority"), "{err}");
+    }
+
+    #[test]
+    fn class_lines_reject_a_negative_priority() {
+        let err = class_line_error("seq_len=64 weight=1 priority=-1");
+        assert!(err.contains("line 2") && err.contains("priority"), "{err}");
+    }
+
+    #[test]
+    fn class_lines_keep_in_range_whole_numbers() {
+        let trace = RequestTrace::parse(
+            "class = seq_len=64 weight=1 priority=0\nclass = seq_len=96.0 weight=1 priority=255\n",
+        )
+        .unwrap();
+        let classes = &trace.config().classes;
+        assert_eq!((classes[0].seq_len, classes[0].priority), (64, 0));
+        assert_eq!((classes[1].seq_len, classes[1].priority), (96, 255));
     }
 
     #[test]
